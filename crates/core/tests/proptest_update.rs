@@ -10,9 +10,14 @@
 //! success assertion non-vacuous. The FFC (kc ≥ 1) variant adds
 //! stale-switch M-sum constraints and may legitimately be infeasible;
 //! when it does plan, its chain is held to the same invariant.
+//!
+//! A one-step chain is decided in closed form rather than by the LP, so
+//! a second property compares that verdict with the LP's on unhalved
+//! endpoints, where one-step rejections occur.
 
 use ffc_core::{
-    max_transition_violation, plan_update, solve_te, TeConfig, TeProblem, UpdateConfig,
+    build_update_lp, max_transition_violation, plan_update, solve_te, TeConfig, TeProblem,
+    UpdateConfig,
 };
 use ffc_net::prelude::*;
 use proptest::prelude::*;
@@ -96,17 +101,33 @@ fn build(inst: &Inst) -> (Topology, TrafficMatrix, TrafficMatrix, TunnelTable) {
     (t, tm_from, tm_to, tunnels)
 }
 
-/// Scales a configuration to half its rates and allocations: still a
-/// valid TE config, now loading every link at ≤ half capacity.
-fn halve(cfg: &TeConfig) -> TeConfig {
+/// Scales a configuration's rates and allocations by `factor`. At 0.5
+/// it is still a valid TE config, now loading every link at ≤ half
+/// capacity.
+fn scaled(cfg: &TeConfig, factor: f64) -> TeConfig {
     TeConfig {
-        rate: cfg.rate.iter().map(|r| r * 0.5).collect(),
+        rate: cfg.rate.iter().map(|r| r * factor).collect(),
         alloc: cfg
             .alloc
             .iter()
-            .map(|row| row.iter().map(|a| a * 0.5).collect())
+            .map(|row| row.iter().map(|a| a * factor).collect())
             .collect(),
     }
+}
+
+/// The highest utilization `Σ max(a⁰, a¹) / c` a one-step transition
+/// puts on any link.
+fn one_step_peak(t: &Topology, tunnels: &TunnelTable, from: &TeConfig, to: &TeConfig) -> f64 {
+    let mut load = vec![0.0; t.num_links()];
+    for (f, ti, tunnel) in tunnels.iter_all() {
+        let hi = from.alloc[f.index()][ti].max(to.alloc[f.index()][ti]);
+        for &l in &tunnel.links {
+            load[l.index()] += hi;
+        }
+    }
+    t.links()
+        .map(|e| load[e.index()] / t.capacity(e))
+        .fold(0.0, f64::max)
 }
 
 proptest! {
@@ -115,8 +136,8 @@ proptest! {
     #[test]
     fn fuzzed_demand_transitions_stay_congestion_free(inst in inst_strategy()) {
         let (t, tm_from, tm_to, tunnels) = build(&inst);
-        let from = halve(&solve_te(TeProblem::new(&t, &tm_from, &tunnels)).expect("from TE"));
-        let to = halve(&solve_te(TeProblem::new(&t, &tm_to, &tunnels)).expect("to TE"));
+        let from = scaled(&solve_te(TeProblem::new(&t, &tm_from, &tunnels)).expect("from TE"), 0.5);
+        let to = scaled(&solve_te(TeProblem::new(&t, &tm_to, &tunnels)).expect("to TE"), 0.5);
 
         // The plain chain must exist: both endpoints load links at
         // ≤ c/2, so even the direct transition is congestion-free.
@@ -141,6 +162,35 @@ proptest! {
                 let last = ffc_plan.steps.last().expect("non-empty plan");
                 prop_assert_eq!(&last.alloc, &to.alloc);
             }
+        }
+    }
+
+    /// The endpoints are not halved: both are scaled together so that
+    /// the one-step transition peaks at `peak` of some link's capacity,
+    /// and above 1 the chain is rejected.
+    #[test]
+    fn one_step_check_matches_the_lp(
+        inst in inst_strategy(),
+        kc in 0..3usize,
+        peak in 0.5..1.5f64,
+    ) {
+        let (t, tm_from, tm_to, tunnels) = build(&inst);
+        let from = solve_te(TeProblem::new(&t, &tm_from, &tunnels)).expect("from TE");
+        let to = solve_te(TeProblem::new(&t, &tm_to, &tunnels)).expect("to TE");
+        let factor = peak / one_step_peak(&t, &tunnels, &from, &to);
+        let (from, to) = (scaled(&from, factor), scaled(&to, factor));
+        let cfg = if kc == 0 { UpdateConfig::plain(1) } else { UpdateConfig::ffc(1, kc) };
+
+        let (model, _) = build_update_lp(&t, &tm_to, &tunnels, &from, &to, &cfg);
+        let lp = model.solve();
+        match plan_update(&t, &tm_to, &tunnels, &from, &to, &cfg) {
+            Ok(plan) => {
+                prop_assert!(lp.is_ok(), "closed form accepts, LP says {:?}", lp.err());
+                prop_assert_eq!(plan.num_steps(), 1);
+                prop_assert_eq!(&plan.steps[0].alloc, &to.alloc);
+                prop_assert_eq!(&plan.steps[0].rate, &to.rate);
+            }
+            Err(e) => prop_assert_eq!(lp.err(), Some(e)),
         }
     }
 }

@@ -244,9 +244,50 @@ fn read_events(cur: &mut Cursor<'_>, what: &str) -> Result<Vec<TimedEvent>, Stri
     Ok(out)
 }
 
+/// The encoding of a prefix of the recorded event stream, kept across
+/// checkpoint writes. Within a run the stream only grows — the input
+/// events come first, then sampled outcomes are appended — so each
+/// write encodes only the events that are new since the last one.
+#[derive(Debug, Default)]
+struct RecordedCache {
+    /// How many events `bytes` encodes.
+    count: usize,
+    /// The last of them: a stream whose event at that position differs
+    /// is not an extension of the cached prefix.
+    last: Option<TimedEvent>,
+    /// The length-prefixed lines of those events, as [`put_events`]
+    /// writes them after the count.
+    bytes: Vec<u8>,
+}
+
+impl RecordedCache {
+    /// Appends `events` to `buf` exactly as [`put_events`] would,
+    /// reusing the cached prefix when `events` extends it.
+    fn put(&mut self, buf: &mut Vec<u8>, events: &[TimedEvent]) {
+        let extends = match &self.last {
+            Some(last) => events.get(self.count - 1) == Some(last),
+            None => true,
+        };
+        if !extends {
+            *self = RecordedCache::default();
+        }
+        for te in &events[self.count..] {
+            put_bytes(&mut self.bytes, te.to_line().as_bytes());
+        }
+        self.count = events.len();
+        self.last = events.last().cloned();
+        put_varint(buf, events.len() as u64);
+        buf.extend_from_slice(&self.bytes);
+    }
+}
+
 /// Serializes a checkpoint, checksum footer included.
 pub fn encode_checkpoint(state: &CheckpointState, digest: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4096);
+    encode_with_cache(state, digest, &mut RecordedCache::default())
+}
+
+fn encode_with_cache(state: &CheckpointState, digest: u64, cache: &mut RecordedCache) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4096 + cache.bytes.len());
     buf.extend_from_slice(CHECKPOINT_MAGIC);
     put_u32(&mut buf, CHECKPOINT_SCHEMA_VERSION);
     put_u64(&mut buf, digest);
@@ -316,7 +357,7 @@ pub fn encode_checkpoint(state: &CheckpointState, digest: u64) -> Vec<u8> {
     for line in &state.fingerprints {
         put_bytes(&mut buf, line.as_bytes());
     }
-    put_events(&mut buf, &state.recorded);
+    cache.put(&mut buf, &state.recorded);
 
     match &state.inflight {
         Some(f) => {
@@ -524,6 +565,7 @@ pub struct Checkpointer {
     digest: u64,
     next_seq: u64,
     error: Option<String>,
+    recorded: RecordedCache,
 }
 
 impl Checkpointer {
@@ -538,6 +580,7 @@ impl Checkpointer {
             digest,
             next_seq,
             error: None,
+            recorded: RecordedCache::default(),
         })
     }
 
@@ -552,7 +595,8 @@ impl Checkpointer {
             return;
         }
         let path = self.dir.join(format!("ckpt-{:08}.ffck", self.next_seq));
-        match write_atomic(&path, &encode_checkpoint(state, self.digest)) {
+        let bytes = encode_with_cache(state, self.digest, &mut self.recorded);
+        match write_atomic(&path, &bytes) {
             Ok(()) => {
                 self.next_seq += 1;
                 self.prune();
@@ -766,6 +810,36 @@ mod tests {
         min.fingerprints.clear();
         let bytes = encode_checkpoint(&min, 1);
         assert_eq!(decode_checkpoint(&bytes, "t", 1).expect("decode"), min);
+    }
+
+    /// The cached encoding of the recorded stream equals a fresh one
+    /// whether the stream grows, shrinks, or changes its last event.
+    #[test]
+    fn recorded_cache_matches_a_fresh_encoding_as_the_stream_changes() {
+        let ev = |interval, scale| TimedEvent {
+            interval,
+            event: Event::DemandScale(scale),
+        };
+        let grown: Vec<TimedEvent> = (0..6).map(|i| ev(i, 1.0 + i as f64)).collect();
+        let mut changed_last = grown[..4].to_vec();
+        changed_last[3] = ev(3, 0.5);
+        let mut cache = RecordedCache::default();
+        for stream in [
+            &grown[..0],
+            &grown[..2],
+            &grown[..5],
+            &grown[..],
+            &grown[..3],
+            &grown[..4],
+            &changed_last[..],
+            &changed_last[..0],
+            &grown[..],
+        ] {
+            let (mut cached, mut fresh) = (Vec::new(), Vec::new());
+            cache.put(&mut cached, stream);
+            put_events(&mut fresh, stream);
+            assert_eq!(cached, fresh, "{} events", stream.len());
+        }
     }
 
     #[test]

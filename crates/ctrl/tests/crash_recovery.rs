@@ -4,13 +4,15 @@
 //! replay fingerprint of an uninterrupted run, with exactly-once
 //! rollout semantics (no acked stage is ever re-pushed).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use ffc_core::FfcConfig;
+use ffc_ctrl::checkpoint::{decode_checkpoint, encode_checkpoint};
 use ffc_ctrl::{
-    config_digest, recover_latest, ChaosHooks, Checkpointer, Controller, ControllerConfig,
-    ControllerReport, Event, TimedEvent,
+    config_digest, recover_latest, ChaosHooks, CheckpointState, Checkpointer, Controller,
+    ControllerConfig, ControllerReport, Event, IntervalSink, IntervalTelemetry, TimedEvent,
 };
 use ffc_net::prelude::*;
 use ffc_sim::SwitchModel;
@@ -303,5 +305,205 @@ fn replayed_trace_of_a_resumed_run_reproduces_the_fingerprint() {
     let mut ctrl = Controller::new(&topo, &tunnels, base_cfg());
     let replayed = ctrl.run(&tm, &resumed.recorded_events, INTERVALS, true);
     assert_eq!(replayed.fingerprint(), full.fingerprint());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// The `Checkpointer` keeps the encoding of the recorded event stream
+// across writes and encodes only the events appended since the last
+// one. Every file it writes must still be byte-identical to a
+// from-scratch `encode_checkpoint` of the state it decodes to: in a
+// fresh run, after a resume with a fresh writer, and after recovery
+// fell back past corrupted files so that the stream a writer sees
+// shrinks and its cache resets.
+
+/// [`churn_events`] plus a demand change in the last interval, so that
+/// every interval after the first re-solves and rolls out in stages.
+fn churn_through_the_last_interval() -> Vec<TimedEvent> {
+    let mut events = churn_events();
+    events.push(TimedEvent {
+        interval: INTERVALS - 1,
+        event: Event::DemandScale(0.8),
+    });
+    events
+}
+
+/// The checkpoint files in `dir` by name, oldest first. A file that
+/// vanishes while the directory is listed is left out: the sequence
+/// check in [`assert_reencodes`] reports a file that was never copied.
+fn checkpoint_files(dir: &Path) -> Vec<(String, PathBuf)> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut files: Vec<_> = entries
+        .filter_map(|e| e.ok())
+        .map(|e| (e.file_name().to_string_lossy().into_owned(), e.path()))
+        .filter(|(name, _)| name.ends_with(".ffck"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Copies every checkpoint file that appears at each interval, before
+/// the writer prunes it; file names are never reused, so the copy is
+/// the file as written. Files present before the run are left out.
+struct Collector {
+    dir: PathBuf,
+    before: BTreeSet<String>,
+    files: BTreeMap<String, Vec<u8>>,
+}
+
+impl Collector {
+    fn new(dir: &Path) -> Self {
+        Collector {
+            dir: dir.to_path_buf(),
+            before: checkpoint_files(dir).into_iter().map(|(n, _)| n).collect(),
+            files: BTreeMap::new(),
+        }
+    }
+
+    fn snap(&mut self) {
+        for (name, path) in checkpoint_files(&self.dir) {
+            if self.before.contains(&name) || self.files.contains_key(&name) {
+                continue;
+            }
+            if let Ok(bytes) = std::fs::read(&path) {
+                self.files.insert(name, bytes);
+            }
+        }
+    }
+
+    /// The files collected since the last call, in write order.
+    fn take(&mut self) -> Vec<(String, Vec<u8>)> {
+        self.snap();
+        std::mem::take(&mut self.files).into_iter().collect()
+    }
+}
+
+impl IntervalSink for Collector {
+    fn record(&mut self, _: &IntervalTelemetry, _: &[f64]) {
+        self.snap();
+    }
+}
+
+/// Runs the controller, optionally from a resumed state, with `ck`
+/// attached; `crash_at` arms an interval-boundary crash. Returns the
+/// files it wrote.
+fn run(
+    dir: &Path,
+    ck: &mut Checkpointer,
+    resume: Option<CheckpointState>,
+    crash_at: Option<usize>,
+) -> Vec<(String, Vec<u8>)> {
+    let (topo, tm, tunnels) = diamond();
+    let mut cfg = base_cfg();
+    cfg.chaos = ChaosHooks {
+        crash_at_interval: crash_at,
+        ..ChaosHooks::default()
+    };
+    let mut ctrl = Controller::new(&topo, &tunnels, cfg);
+    let events = churn_through_the_last_interval();
+    let mut sink = Collector::new(dir);
+    let out = catch_unwind(AssertUnwindSafe(|| {
+        ctrl.run_with_recovery(
+            &tm,
+            &events,
+            INTERVALS,
+            false,
+            Some(&mut sink),
+            Some(&mut *ck),
+            resume,
+        )
+    }));
+    assert_eq!(out.is_err(), crash_at.is_some(), "crash hook {crash_at:?}");
+    assert!(ck.error().is_none(), "{:?}", ck.error());
+    sink.take()
+}
+
+/// Decodes every file, re-encodes it from scratch and compares bytes.
+/// Also checks that the files form one unbroken sequence (none was
+/// pruned before it was copied). Returns the decoded states.
+fn assert_reencodes(files: &[(String, Vec<u8>)], digest: u64) -> Vec<CheckpointState> {
+    assert!(!files.is_empty(), "the run wrote checkpoints");
+    let seqs: Vec<u64> = files
+        .iter()
+        .map(|(name, _)| name[5..13].parse().expect("ckpt-<seq>.ffck"))
+        .collect();
+    assert!(
+        seqs.windows(2).all(|w| w[1] == w[0] + 1),
+        "every written file was copied: {seqs:?}"
+    );
+    files
+        .iter()
+        .map(|(name, bytes)| {
+            let state = decode_checkpoint(bytes, name, digest).expect("valid checkpoint");
+            assert!(
+                encode_checkpoint(&state, digest) == *bytes,
+                "{name}: cached encoding differs from a fresh one"
+            );
+            state
+        })
+        .collect()
+}
+
+/// The run wrote both interval-boundary and mid-rollout stage files.
+fn assert_both_kinds(states: &[CheckpointState]) {
+    let staged = states.iter().filter(|s| s.inflight.is_some()).count();
+    let boundary = states.len() - staged;
+    assert!(
+        boundary > 0 && staged > 0,
+        "{boundary} boundary, {staged} stage"
+    );
+}
+
+#[test]
+fn cached_checkpoints_are_byte_identical_across_resume_and_fallback() {
+    let dir = scratch_dir("ckcache");
+    let (topo, tm, tunnels) = diamond();
+    let digest = config_digest(&base_cfg(), &topo, &tunnels, &tm);
+
+    // A fresh run, crashed at the interval-2 boundary.
+    let mut ck = Checkpointer::create(&dir, digest).expect("checkpointer");
+    let first = assert_reencodes(&run(&dir, &mut ck, None, Some(2)), digest);
+    assert_both_kinds(&first);
+
+    // Resume with a fresh writer on the same directory.
+    let rec = recover_latest(&dir, digest).expect("recover");
+    assert!(rec.notes.is_empty(), "{:?}", rec.notes);
+    let state = rec.checkpoint.expect("a checkpoint").state;
+    let mut ck = Checkpointer::create(&dir, digest).expect("checkpointer");
+    let second = assert_reencodes(&run(&dir, &mut ck, Some(state), None), digest);
+    assert_both_kinds(&second);
+    let last = second.last().expect("files");
+    assert_eq!(last.next_interval, INTERVALS);
+
+    // Corrupt every file newer than the interval-4 boundary, so that
+    // recovery falls back to it, and resume with the same writer: its
+    // cache holds the finished run's stream, and interval 5's first stage
+    // write hands it a shorter one.
+    let mut corrupted = 0;
+    for (name, path) in checkpoint_files(&dir).into_iter().rev() {
+        let mut bytes = std::fs::read(&path).expect("read");
+        let state = decode_checkpoint(&bytes, &name, digest).expect("valid checkpoint");
+        if state.next_interval == INTERVALS - 1 && state.inflight.is_none() {
+            break;
+        }
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&path, &bytes).expect("write");
+        corrupted += 1;
+    }
+    let rec = recover_latest(&dir, digest).expect("recover");
+    assert_eq!(rec.notes.len(), corrupted, "{:?}", rec.notes);
+    assert!(corrupted > 0);
+    let state = rec.checkpoint.expect("an older checkpoint").state;
+    assert_eq!(state.next_interval, INTERVALS - 1);
+    assert!(state.inflight.is_none());
+    let third = assert_reencodes(&run(&dir, &mut ck, Some(state), None), digest);
+    let shrunk = &third.first().expect("files").recorded;
+    assert!(
+        shrunk.len() < last.recorded.len(),
+        "the writer saw a shorter stream than it cached"
+    );
+    assert_eq!(third.last().expect("files"), last, "same end state");
     let _ = std::fs::remove_dir_all(&dir);
 }
