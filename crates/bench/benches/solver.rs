@@ -1,8 +1,8 @@
 //! Criterion benchmarks of the LP solver substrate itself: sparse LU
 //! factorization, FTRAN/BTRAN, and end-to-end simplex solves on random
-//! multicommodity-flow-like LPs — plus a pricing-rule and parallel-sweep
-//! comparison that records its measurements in `BENCH_pricing.json` at
-//! the repo root.
+//! multicommodity-flow-like LPs — plus parallel-sweep, warm re-solve,
+//! delta-LP and certifier-kernel comparisons that record their
+//! measurements in `BENCH_pricing.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 use ffc_core::{solve_te_batch, FfcModelCache, TeProblem};
-use ffc_lp::{Algorithm, Cmp, LinExpr, Model, Pricing, Sense, SimplexOptions};
+use ffc_lp::{Algorithm, Cmp, LinExpr, Model, Sense, SimplexOptions};
 
 /// Median of a small latency sample (ms). Wall times are noisy on shared
 /// hosts; the median is what BENCH records.
@@ -97,115 +97,15 @@ fn bench_lu(c: &mut Criterion) {
     group.finish();
 }
 
-/// Compares the pricing rules head to head and the serial vs parallel
-/// TE sweep, then records the measurements in `BENCH_pricing.json`.
-fn bench_pricing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pricing");
-    group.sample_size(10);
-    let rules = [
-        ("dantzig", Pricing::Dantzig),
-        ("devex", Pricing::Devex),
-        ("partial_devex", Pricing::PartialDevex { candidates: 0 }),
-    ];
-    let model = random_lp(400, 1200, 7);
-    for (name, pricing) in rules {
-        group.bench_with_input(
-            BenchmarkId::new("solve_400x1200", name),
-            &pricing,
-            |b, &p| {
-                b.iter(|| {
-                    model
-                        .solve_with(&SimplexOptions {
-                            pricing: p,
-                            ..SimplexOptions::default()
-                        })
-                        .expect("solvable")
-                })
-            },
-        );
-    }
-    group.finish();
-
+/// Compares the serial vs parallel TE sweep, warm re-solve algorithms,
+/// delta-LP patching and the certifier kernels, then records the
+/// measurements in `BENCH_pricing.json`.
+fn bench_recorded(_c: &mut Criterion) {
     // Host core count, recorded in every section: wall times and the
     // fan-out speedup are meaningless without it.
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-
-    // ---- recorded comparison: pricing rules on random LPs ----
-    let mut rows = Vec::new();
-    for (rows_n, cols_n) in [(100usize, 300usize), (400, 1200), (1000, 3000)] {
-        let model = random_lp(rows_n, cols_n, 7);
-        for (name, pricing) in rules {
-            let opts = SimplexOptions {
-                pricing,
-                ..SimplexOptions::default()
-            };
-            // Min of 3 runs: wall time is noisy, iteration counts are not.
-            let mut best: Option<ffc_lp::SolveStats> = None;
-            for _ in 0..3 {
-                let sol = model.solve_with(&opts).expect("solvable");
-                if best
-                    .map(|b| sol.stats.solve_time < b.solve_time)
-                    .unwrap_or(true)
-                {
-                    best = Some(sol.stats);
-                }
-            }
-            let s = best.unwrap();
-            rows.push(format!(
-                "    {{\"size\": \"{rows_n}x{cols_n}\", \"rule\": \"{name}\", \
-                 \"workers\": {workers}, \"iterations\": {}, \"full_pricing_passes\": {}, \
-                 \"refactorizations\": {}, \"solve_time_ms\": {:.3}}}",
-                s.iterations(),
-                s.full_pricing_passes,
-                s.refactorizations,
-                s.solve_time.as_secs_f64() * 1e3
-            ));
-        }
-    }
-
-    // ---- recorded comparison: devex vs partial devex at L-Net scale ----
-    // The full-scale L-Net TE model is the one real instance whose
-    // column count clears `AUTO_PARTIAL_MIN_COLS`, so this is the
-    // measurement that justifies the threshold: partial pricing must
-    // win (or at least tie) here while staying disabled on the smaller
-    // random LPs above.
-    let lnet = ffc_bench::lnet_full_instance(42, 1);
-    let lnet_problem = TeProblem::new(&lnet.net.topo, &lnet.trace.intervals[0], &lnet.tunnels);
-    let lnet_model = ffc_core::TeModelBuilder::new(lnet_problem).model;
-    let mut lnet_rows = Vec::new();
-    for (name, pricing) in [
-        ("devex", Pricing::Devex),
-        ("partial_devex", Pricing::PartialDevex { candidates: 0 }),
-    ] {
-        let opts = SimplexOptions {
-            pricing,
-            ..SimplexOptions::default()
-        };
-        let mut best: Option<ffc_lp::SolveStats> = None;
-        for _ in 0..2 {
-            let sol = lnet_model.solve_with(&opts).expect("L-Net TE solvable");
-            if best
-                .map(|b| sol.stats.solve_time < b.solve_time)
-                .unwrap_or(true)
-            {
-                best = Some(sol.stats);
-            }
-        }
-        let s = best.unwrap();
-        lnet_rows.push(format!(
-            "    {{\"rule\": \"{name}\", \"workers\": {workers}, \"iterations\": {}, \
-             \"full_pricing_passes\": {}, \"refactorizations\": {}, \
-             \"solve_time_ms\": {:.1}}}",
-            s.iterations(),
-            s.full_pricing_passes,
-            s.refactorizations,
-            s.solve_time.as_secs_f64() * 1e3
-        ));
-    }
-    let lnet_cols = lnet_model.num_vars();
-    let lnet_rows_n = lnet_model.num_cons();
 
     // ---- recorded comparison: serial vs parallel TE sweep ----
     let inst = ffc_bench::snet_instance(42, 8);
@@ -498,10 +398,7 @@ fn bench_pricing(c: &mut Criterion) {
     }
 
     let json = format!(
-        "{{\n  \"pricing\": [\n{}\n  ],\n  \"pricing_lnet\": {{\"instance\": \"{}\", \
-         \"lp_size\": \"{lnet_rows_n}x{lnet_cols}\", \
-         \"auto_partial_min_cols\": {}, \"rules\": [\n{}\n  ]}},\n  \
-         \"sweep\": {{\"instance\": \"{}\", \
+        "{{\n  \"sweep\": {{\"instance\": \"{}\", \
          \"intervals\": {}, \"workers\": {workers}, \"serial_ms\": {serial_ms:.1}, \
          \"parallel_ms\": {parallel_ms:.1}, \"speedup\": {:.2}, \
          \"note\": \"fan-out speedup is bounded by available_parallelism; \
@@ -513,10 +410,6 @@ fn bench_pricing(c: &mut Criterion) {
          \"note\": \"batched SoA certifier vs scalar reference over the \
          S-Net ke scenario sweep; verdicts asserted bit-identical\", \
          \"rows\": [\n{}\n  ]}}\n}}\n",
-        rows.join(",\n"),
-        lnet.name,
-        ffc_lp::AUTO_PARTIAL_MIN_COLS,
-        lnet_rows.join(",\n"),
         inst.name,
         problems.len(),
         serial_ms / parallel_ms.max(1e-9),
@@ -533,5 +426,5 @@ fn bench_pricing(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_simplex, bench_lu, bench_pricing);
+criterion_group!(benches, bench_simplex, bench_lu, bench_recorded);
 criterion_main!(benches);

@@ -681,7 +681,7 @@ fn table2(args: &Args) {
             .expect("FFC(3,3,0)");
         });
         println!(
-            "  {:<12} FFC(3,3,0)u(3,0,1): {:>7.2}s   FFC(2,1,0): {:>7.2}s   non-FFC: {:>7.3}s",
+            "  {:<12} FFC(3,3,0): {:>7.2}s   FFC(2,1,0): {:>7.2}s   non-FFC: {:>7.3}s",
             inst.name, t_330, t_210, t_plain
         );
     }

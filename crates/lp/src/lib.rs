@@ -37,7 +37,7 @@
 //! | [`lu`] | Gilbert–Peierls sparse LU with partial pivoting |
 //! | [`basis`] | factorization + eta-file updates (FTRAN/BTRAN) |
 //! | [`presolve`] | fixed-variable elimination + trivial-row checks |
-//! | [`pricing`] | entering-column rules: Dantzig, devex, partial devex |
+//! | [`pricing`] | devex entering-column pricing |
 //! | [`simplex`] | the bounded-variable two-phase revised simplex |
 //! | [`incremental`] | delta-LP: in-place patching of a standing model |
 //! | [`dense`] | an independent dense tableau oracle for testing |
@@ -60,8 +60,6 @@ pub mod standard;
 pub use expr::{LinExpr, VarId};
 pub use incremental::{diff_models, IncrementalModel, PatchError, PatchOp};
 pub use model::{
-    BasisStatuses, Cmp, ColStatus, ConId, ConView, LimitKind, LpError, Model, Sense, Solution,
-    SolveStats,
+    BasisStatuses, Cmp, ColStatus, ConId, ConView, LpError, Model, Sense, Solution, SolveStats,
 };
-pub use pricing::{Pricing, AUTO_PARTIAL_MIN_COLS};
 pub use simplex::{Algorithm, HotStart, SimplexOptions, DEFAULT_WARM_PERTURB};

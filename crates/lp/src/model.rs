@@ -88,24 +88,6 @@ pub struct ConView<'a> {
     pub name: Option<&'a str>,
 }
 
-/// Which solve budget a [`LpError::LimitExceeded`] solve ran out of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LimitKind {
-    /// [`crate::SimplexOptions::max_iters`] was reached.
-    Iterations,
-    /// [`crate::SimplexOptions::max_millis`] was reached.
-    WallClock,
-}
-
-impl fmt::Display for LimitKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LimitKind::Iterations => write!(f, "iteration"),
-            LimitKind::WallClock => write!(f, "wall-clock"),
-        }
-    }
-}
-
 /// Errors produced while building or solving a model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpError {
@@ -128,14 +110,13 @@ pub enum LpError {
     /// (Legacy variant kept for the dense cross-check solver; the
     /// revised simplex reports [`LpError::LimitExceeded`] instead.)
     IterationLimit,
-    /// A solve budget ran out mid-solve. Unlike the other errors this is
-    /// *recoverable*: the model may well be feasible, the solver just
-    /// was not given enough budget — callers can retry with a larger
-    /// budget, degrade to a cheaper model, or hold the previous answer.
-    /// Carries the counters accumulated up to the point of interruption.
+    /// The iteration budget ([`crate::SimplexOptions::max_iters`]) ran
+    /// out mid-solve. Unlike the other errors this is *recoverable*: the
+    /// model may well be feasible, the solver just was not given enough
+    /// budget — callers can retry with a larger budget, degrade to a
+    /// cheaper model, or hold the previous answer. Carries the counters
+    /// accumulated up to the point of interruption.
     LimitExceeded {
-        /// Which budget was exhausted.
-        limit: LimitKind,
         /// Partial performance counters at interruption.
         stats: Box<SolveStats>,
     },
@@ -169,9 +150,9 @@ impl fmt::Display for LpError {
             }
             LpError::NotANumber => write!(f, "NaN coefficient or bound in model"),
             LpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
-            LpError::LimitExceeded { limit, stats } => write!(
+            LpError::LimitExceeded { stats } => write!(
                 f,
-                "simplex {limit} budget exhausted after {} iterations",
+                "simplex iteration budget exhausted after {} iterations",
                 stats.iterations()
             ),
             LpError::NumericalFailure(msg) => write!(f, "numerical failure: {msg}"),
@@ -215,8 +196,9 @@ pub struct SolveStats {
     pub phase2_iterations: usize,
     /// Pivots whose step length was within the feasibility tolerance.
     pub degenerate_pivots: usize,
-    /// Mid-solve anti-degeneracy bound expansions (at most one per
-    /// solve; see `SimplexOptions::degen_expand`).
+    /// Always 0: the mid-solve anti-degeneracy bound expansion it
+    /// counted is gone. Kept only because the perfbench harness reads
+    /// it.
     pub degen_expansions: usize,
     /// Iterations resolved by a bound flip (no basis change).
     pub bound_flips: usize,
@@ -230,9 +212,8 @@ pub struct SolveStats {
     pub dual_bound_flips: usize,
     /// Basis refactorizations (including the initial one per phase).
     pub refactorizations: usize,
-    /// Full passes over all columns during pricing. With partial
-    /// pricing this is much smaller than the iteration count; for full
-    /// pricing rules it equals iterations + optimality checks.
+    /// Full passes over all columns during pricing: one per iteration
+    /// plus one per optimality check.
     pub full_pricing_passes: usize,
     /// Wall-clock time of the solve (both phases, excluding presolve).
     pub solve_time: std::time::Duration,

@@ -7,10 +7,8 @@
 //! * **Start basis**: all slacks. Rows whose slack value would violate the
 //!   slack's bounds receive an *artificial* column (`±eᵢ`, bounds
 //!   `[0, ∞)`); phase 1 minimizes the sum of artificials.
-//! * **Pricing**: selectable via [`SimplexOptions::pricing`] — Dantzig,
-//!   devex (default), or devex over a bounded candidate list
-//!   ([`crate::pricing`]). All rules switch to Bland's rule after a long
-//!   run of degenerate pivots to guarantee termination.
+//! * **Pricing**: devex ([`crate::pricing`]), switching to Bland's rule
+//!   after a long run of degenerate pivots to guarantee termination.
 //! * **Ratio test**: bounded-variable, including bound flips of the
 //!   entering variable (no basis change).
 //! * **Factorization**: sparse LU ([`crate::lu`]) with product-form eta
@@ -25,8 +23,8 @@
 // not approximate value checks.
 
 use crate::basis::Basis;
-use crate::model::{BasisStatuses, ColStatus, LimitKind, LpError, Model, Solution, SolveStats};
-use crate::pricing::{Pricer, Pricing};
+use crate::model::{BasisStatuses, ColStatus, LpError, Model, Solution, SolveStats};
+use crate::pricing::Pricer;
 use crate::sparse::ScatterVec;
 use crate::standard::StdForm;
 
@@ -58,10 +56,6 @@ pub struct SimplexOptions {
     /// "choose automatically from the problem size". Overruns surface
     /// as the recoverable [`LpError::LimitExceeded`].
     pub max_iters: usize,
-    /// Wall-clock budget for the solve in milliseconds (`0` disables).
-    /// Checked every 64 iterations; overruns surface as the recoverable
-    /// [`LpError::LimitExceeded`] carrying partial [`SolveStats`].
-    pub max_millis: u64,
     /// Fault-injection hook: report a singular basis refactorization
     /// once the solve reaches iteration N (`0` disables). Exists so the
     /// chaos harness can exercise the `NumericalFailure` recovery paths
@@ -74,23 +68,6 @@ pub struct SimplexOptions {
     /// `catch_unwind` worker isolation. Chaos-harness only; never set
     /// in production configs.
     pub inject_panic_after: usize,
-    /// Primal feasibility tolerance.
-    pub feas_tol: f64,
-    /// Dual (reduced-cost) optimality tolerance.
-    pub opt_tol: f64,
-    /// Minimum magnitude for a ratio-test pivot element.
-    pub pivot_tol: f64,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub degen_switch: usize,
-    /// Consecutive degenerate pivots on the *real* objective (phase 2 or
-    /// the dual loop — never phase 1) before a one-shot mid-solve bound
-    /// expansion breaks the plateau (`0` disables). A Harris-style
-    /// bounded escalation: fires at most once per solve, at a magnitude
-    /// far below the feasibility tolerance, and the post-solve
-    /// restoration snaps everything back onto the true bounds. Should be
-    /// well below [`degen_switch`](Self::degen_switch) so the cheap
-    /// geometric fix gets a chance before the slow anti-cycling rule.
-    pub degen_expand: usize,
     /// Whether [`crate::presolve`] runs before the simplex (cold starts
     /// only; warm starts always skip it to keep column spaces aligned).
     pub presolve: bool,
@@ -100,8 +77,6 @@ pub struct SimplexOptions {
     /// original bounds by at most this much — keep it at or below the
     /// feasibility tolerance you can stand.
     pub perturb: f64,
-    /// Pricing rule choosing the entering column (see [`Pricing`]).
-    pub pricing: Pricing,
     /// Simplex variant selection (see [`Algorithm`]). The default,
     /// [`Algorithm::Auto`], only changes warm-hinted solves.
     pub algorithm: Algorithm,
@@ -111,21 +86,23 @@ impl Default for SimplexOptions {
     fn default() -> Self {
         Self {
             max_iters: 0,
-            max_millis: 0,
             inject_singular_after: 0,
             inject_panic_after: 0,
-            feas_tol: 1e-7,
-            opt_tol: 1e-7,
-            pivot_tol: 1e-8,
-            degen_switch: 2000,
-            degen_expand: 256,
             presolve: true,
             perturb: 0.0,
-            pricing: Pricing::default(),
             algorithm: Algorithm::default(),
         }
     }
 }
+
+/// Primal feasibility tolerance.
+const FEAS_TOL: f64 = 1e-7;
+/// Dual (reduced-cost) optimality tolerance.
+const OPT_TOL: f64 = 1e-7;
+/// Minimum magnitude for a ratio-test pivot element.
+const PIVOT_TOL: f64 = 1e-8;
+/// Consecutive degenerate pivots before switching to Bland's rule.
+const DEGEN_SWITCH: usize = 2000;
 
 /// Status of a column in the current basis partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,24 +136,12 @@ struct Engine<'a> {
     /// Whether Bland's anti-cycling rule is currently active.
     bland: bool,
     degen_run: usize,
-    /// Whether the working bounds currently differ from `std`'s (from a
-    /// construction-time perturbation, a mid-solve plateau expansion, or
-    /// both) — gates the post-solve restoration.
-    expanded: bool,
-    /// Whether the one-shot mid-solve plateau expansion already fired.
-    mid_expanded: bool,
-    /// Whether the current optimization loop runs the real objective
-    /// (phase 2 / dual) — the only place the plateau expansion may
-    /// trigger; phase 1's artificial objective must stay exact.
-    expand_armed: bool,
-    /// Pricing state: rule, reference weights, candidate list.
+    /// Pricing state: devex reference weights.
     pricer: Pricer,
     /// Performance counters reported on the solution.
     stats: SolveStats,
     /// Solve start, used to stamp `solve_time` on budget overruns.
     start: std::time::Instant,
-    /// Wall-clock cutoff derived from [`SimplexOptions::max_millis`].
-    deadline: Option<std::time::Instant>,
     // Scratch buffers.
     w: Vec<f64>,
     y: Vec<f64>,
@@ -234,15 +199,10 @@ impl<'a> Engine<'a> {
             opts.max_iters = 20_000 + 40 * (std.m + std.n);
         }
         let m = std.m;
-        let pricing = opts.pricing;
-        let start = std::time::Instant::now();
-        let deadline = (opts.max_millis > 0)
-            .then(|| start + std::time::Duration::from_millis(opts.max_millis));
         let mut eng = Engine {
             std,
             opts,
-            start,
-            deadline,
+            start: std::time::Instant::now(),
             arts: Vec::new(),
             lb: std.lb.clone(),
             ub: std.ub.clone(),
@@ -253,10 +213,7 @@ impl<'a> Engine<'a> {
             iterations: 0,
             bland: false,
             degen_run: 0,
-            expanded: false,
-            mid_expanded: false,
-            expand_armed: false,
-            pricer: Pricer::new(pricing),
+            pricer: Pricer::default(),
             stats: SolveStats::default(),
             w: vec![0.0; m],
             y: vec![0.0; m],
@@ -282,23 +239,20 @@ impl<'a> Engine<'a> {
         j >= self.std.n
     }
 
-    /// Builds the recoverable budget-overrun error, snapshotting the
+    /// Builds the recoverable iteration-budget error, snapshotting the
     /// counters accumulated so far (same bookkeeping `solve_model`
     /// performs at the end of a successful solve).
-    fn limit_error(&self, limit: LimitKind) -> LpError {
+    fn limit_error(&self) -> LpError {
         let mut stats = self.stats;
         stats.phase2_iterations = self.iterations - stats.phase1_iterations;
         stats.full_pricing_passes = self.pricer.full_passes;
         stats.solve_time = self.start.elapsed();
         LpError::LimitExceeded {
-            limit,
             stats: Box::new(stats),
         }
     }
 
     /// Per-iteration budget check shared by the primal and dual loops.
-    /// The wall clock is only consulted every 64 iterations to keep the
-    /// hot loop free of syscalls.
     #[inline]
     fn check_budgets(&self) -> Result<(), LpError> {
         if self.opts.inject_singular_after != 0
@@ -315,14 +269,7 @@ impl<'a> Engine<'a> {
             );
         }
         if self.iterations > self.opts.max_iters {
-            return Err(self.limit_error(LimitKind::Iterations));
-        }
-        if self.iterations & 63 == 0 {
-            if let Some(d) = self.deadline {
-                if std::time::Instant::now() >= d {
-                    return Err(self.limit_error(LimitKind::WallClock));
-                }
-            }
+            return Err(self.limit_error());
         }
         Ok(())
     }
@@ -513,7 +460,7 @@ impl<'a> Engine<'a> {
             let row = c - std.n_struct;
             let (l, u) = (self.lb[c], self.ub[c]);
             let v = self.xval[c];
-            if v >= l - self.opts.feas_tol && v <= u + self.opts.feas_tol {
+            if v >= l - FEAS_TOL && v <= u + FEAS_TOL {
                 continue;
             }
             let clamped = v.clamp(l, u);
@@ -648,7 +595,7 @@ impl<'a> Engine<'a> {
     /// `patch_infeasible_basic_slacks`, which phase 1 repairs.
     fn repair_warm_basis(&mut self) -> bool {
         let std = self.std;
-        let tol = self.opts.feas_tol * 10.0;
+        let tol = FEAS_TOL * 10.0;
         for round in 0..3 {
             if round > 0 && self.compute_tentative_values().is_err() {
                 self.reset_state();
@@ -971,7 +918,7 @@ impl<'a> Engine<'a> {
         // Mild wrong-sign reduced costs are tolerated: the dual ratio
         // test clamps their (negative) ratios to zero, so they resolve
         // as degenerate steps rather than lost dual feasibility.
-        let tol = self.opts.opt_tol * 10.0;
+        let tol = OPT_TOL * 10.0;
         let mut flips: Vec<usize> = Vec::new();
         for j in 0..self.ncols() {
             let st = self.stat[j];
@@ -1024,13 +971,7 @@ impl<'a> Engine<'a> {
         let m = self.std.m;
         self.bland = false;
         self.degen_run = 0;
-        // The dual loop always optimizes the real objective: plateau
-        // expansion may fire from here on.
-        self.expand_armed = true;
         let ncols = self.ncols();
-        let ftol = self.opts.feas_tol;
-        let ptol = self.opts.pivot_tol;
-        let dtol = self.opts.opt_tol;
         // Dual devex reference weights, one per basis *position*.
         let mut dw = vec![1.0f64; m];
         // (column, pivot-row entry α_j, dual ratio) per iteration.
@@ -1060,9 +1001,9 @@ impl<'a> Engine<'a> {
             for (pos, &w) in dw.iter().enumerate().take(m) {
                 let j = self.basis[pos];
                 let v = self.xval[j];
-                let viol = if v < self.lb[j] - ftol {
+                let viol = if v < self.lb[j] - FEAS_TOL {
                     v - self.lb[j]
-                } else if v > self.ub[j] + ftol {
+                } else if v > self.ub[j] + FEAS_TOL {
                     v - self.ub[j]
                 } else {
                     continue;
@@ -1126,9 +1067,9 @@ impl<'a> Engine<'a> {
                 let alpha = self.col_dot_sp(j, &self.rho_sp);
                 let a = sigma * alpha;
                 let eligible = match st {
-                    VStat::AtLower => a > ptol,
-                    VStat::AtUpper => a < -ptol,
-                    VStat::FreeZero => alpha.abs() > ptol,
+                    VStat::AtLower => a > PIVOT_TOL,
+                    VStat::AtUpper => a < -PIVOT_TOL,
+                    VStat::FreeZero => alpha.abs() > PIVOT_TOL,
                     VStat::Basic(_) => unreachable!(),
                 };
                 if !eligible {
@@ -1158,7 +1099,7 @@ impl<'a> Engine<'a> {
                     && span.is_finite()
                     && idx + 1 < cands.len()
                     && matches!(self.stat[j], VStat::AtLower | VStat::AtUpper)
-                    && delta - span * alpha.abs() > ftol;
+                    && delta - span * alpha.abs() > FEAS_TOL;
                 if can_flip {
                     delta -= span * alpha.abs();
                 } else {
@@ -1220,7 +1161,7 @@ impl<'a> Engine<'a> {
                 factors.ftran_sparse(&self.col_buf, &mut self.w_sp);
             }
             let alpha_r = self.w_sp.get(r);
-            if alpha_r.abs() <= ptol {
+            if alpha_r.abs() <= PIVOT_TOL {
                 if retried {
                     return Err(LpError::NumericalFailure(
                         "dual pivot vanished after refactorization".into(),
@@ -1318,13 +1259,12 @@ impl<'a> Engine<'a> {
             self.stats.dual_iterations += 1;
             // A zero dual-objective step is the dual's degenerate pivot;
             // long runs engage the same Bland switch as the primal loop.
-            if t_dual <= dtol {
+            if t_dual <= OPT_TOL {
                 self.stats.degenerate_pivots += 1;
                 self.degen_run += 1;
-                if self.degen_run > self.opts.degen_switch {
+                if self.degen_run > DEGEN_SWITCH {
                     self.bland = true;
                 }
-                self.maybe_expand_on_plateau();
             } else {
                 self.degen_run = 0;
                 self.bland = false;
@@ -1336,13 +1276,8 @@ impl<'a> Engine<'a> {
     /// Devex weight update after choosing entering column `q` and
     /// leaving basis position `pos`. The pivot row `ρ = B⁻ᵀe_pos` is
     /// obtained with one *sparse* BTRAN (the RHS is a unit vector), and
-    /// the update itself lives in [`Pricer::update_weights`] — which
-    /// restricts the pass to the candidate list under partial pricing
-    /// and skips everything for Dantzig (no BTRAN at all).
+    /// the update itself lives in [`Pricer::update_weights`].
     fn update_pricing(&mut self, q: usize, pos: usize, leaving: usize) {
-        if !self.pricer.needs_weights() {
-            return;
-        }
         let alpha_q = self.w_sp.get(pos);
         // Devex weights are a pricing heuristic: with no factors there is
         // nothing sound to update, so skip rather than guess.
@@ -1373,16 +1308,15 @@ impl<'a> Engine<'a> {
         if self.lb[j] == self.ub[j] || self.is_artificial(j) {
             return None;
         }
-        let tol = self.opts.opt_tol;
         let cj = cost.get(j).copied().unwrap_or(0.0);
         let d = cj - self.col_dot(j, &self.y);
         match st {
-            VStat::AtLower => (d < -tol).then_some((d, 1.0)),
-            VStat::AtUpper => (d > tol).then_some((d, -1.0)),
+            VStat::AtLower => (d < -OPT_TOL).then_some((d, 1.0)),
+            VStat::AtUpper => (d > OPT_TOL).then_some((d, -1.0)),
             VStat::FreeZero => {
-                if d < -tol {
+                if d < -OPT_TOL {
                     Some((d, 1.0))
-                } else if d > tol {
+                } else if d > OPT_TOL {
                     Some((d, -1.0))
                 } else {
                     None
@@ -1402,13 +1336,12 @@ impl<'a> Engine<'a> {
 
     /// Tracks degenerate-pivot runs and toggles Bland's rule.
     fn note_progress(&mut self, t: f64) {
-        if t <= self.opts.feas_tol {
+        if t <= FEAS_TOL {
             self.stats.degenerate_pivots += 1;
             self.degen_run += 1;
-            if self.degen_run > self.opts.degen_switch {
+            if self.degen_run > DEGEN_SWITCH {
                 self.bland = true;
             }
-            self.maybe_expand_on_plateau();
         } else {
             self.degen_run = 0;
             self.bland = false;
@@ -1418,8 +1351,6 @@ impl<'a> Engine<'a> {
     /// Bounded-variable ratio test for entering column `q` moving in
     /// direction `dir`, with `self.w_sp` holding `B⁻¹ A_q` (sparse).
     fn ratio_test(&self, q: usize, dir: f64) -> Step {
-        let ptol = self.opts.pivot_tol;
-        let ftol = self.opts.feas_tol;
         // Entering variable's own range.
         let own_span = self.ub[q] - self.lb[q]; // may be +inf
 
@@ -1430,7 +1361,7 @@ impl<'a> Engine<'a> {
             let mut blocking: Option<usize> = None;
             for &i in self.w_sp.pattern() {
                 let wi = self.w_sp.get(i);
-                if wi.abs() <= ptol {
+                if wi.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let bj = self.basis[i];
@@ -1469,7 +1400,7 @@ impl<'a> Engine<'a> {
         let mut t_relaxed = f64::INFINITY;
         for &i in self.w_sp.pattern() {
             let wi = self.w_sp.get(i);
-            if wi.abs() <= ptol {
+            if wi.abs() <= PIVOT_TOL {
                 continue;
             }
             let bj = self.basis[i];
@@ -1482,7 +1413,7 @@ impl<'a> Engine<'a> {
             if !bound.is_finite() {
                 continue;
             }
-            let ti = ((bound - self.xval[bj]) / delta + ftol / delta.abs()).max(0.0);
+            let ti = ((bound - self.xval[bj]) / delta + FEAS_TOL / delta.abs()).max(0.0);
             if ti < t_relaxed {
                 t_relaxed = ti;
             }
@@ -1499,7 +1430,7 @@ impl<'a> Engine<'a> {
         let mut t_exact = f64::INFINITY;
         for &i in self.w_sp.pattern() {
             let wi = self.w_sp.get(i);
-            if wi.abs() <= ptol {
+            if wi.abs() <= PIVOT_TOL {
                 continue;
             }
             let bj = self.basis[i];
@@ -1568,46 +1499,6 @@ impl<'a> Engine<'a> {
                 self.ub[j] += magnitude * (1.0 + self.ub[j].abs()) * unit();
             }
         }
-        self.expanded = true;
-    }
-
-    /// Mid-solve anti-degeneracy escalation: after
-    /// [`SimplexOptions::degen_expand`] consecutive degenerate pivots on
-    /// the real objective, expands the bounds one notch beyond any
-    /// construction-time perturbation, snaps nonbasic columns onto the
-    /// moved bounds and recomputes basic values through the current
-    /// factors. Bounded: fires at most once per solve, at a magnitude
-    /// still far below the feasibility tolerance, and the post-solve
-    /// restoration (gated on `expanded`) undoes it. Only armed while
-    /// optimizing the real objective — phase 1's artificial objective
-    /// decides feasibility and must stay exact.
-    fn maybe_expand_on_plateau(&mut self) {
-        if !self.expand_armed
-            || self.mid_expanded
-            || self.opts.degen_expand == 0
-            || self.degen_run < self.opts.degen_expand
-            || self.factors.is_none()
-        {
-            return;
-        }
-        let base = if self.opts.perturb > 0.0 {
-            self.opts.perturb
-        } else {
-            DEFAULT_WARM_PERTURB
-        };
-        self.expand_bounds((base * 8.0).min(self.opts.feas_tol * 0.125));
-        for j in 0..self.std.n {
-            match self.stat[j] {
-                VStat::AtLower => self.xval[j] = self.lb[j],
-                VStat::AtUpper => self.xval[j] = self.ub[j],
-                _ => {}
-            }
-        }
-        self.recompute_basic_values();
-        self.mid_expanded = true;
-        self.degen_run = 0;
-        self.bland = false;
-        self.stats.degen_expansions += 1;
     }
 
     /// Undoes the anti-degeneracy bound expansion after phase 2: every
@@ -1659,7 +1550,7 @@ enum Step {
 /// long degenerate phase-2 plateaus; a tiny deterministic expansion
 /// breaks the ties. The value is far below the feasibility tolerance so
 /// an already-optimal warm basis still finishes in zero iterations and
-/// the post-solve restoration (see [`Engine::restore_perturbed_bounds`])
+/// the post-solve restoration (see `Engine::restore_perturbed_bounds`)
 /// is a no-op in the common case.
 pub const DEFAULT_WARM_PERTURB: f64 = 1e-9;
 
@@ -1691,24 +1582,31 @@ pub fn solve_model(
 
 /// Solves an already-lowered [`StdForm`] — the entry point for the
 /// incremental (delta-LP) path, which patches a standing `StdForm` in
-/// place instead of re-lowering the model every solve. When the
-/// perturbation option is active and the solve breaks down numerically,
-/// retries once from scratch with perturbation disabled (the expansion
-/// trades a little conditioning for fewer degenerate pivots; on the
-/// rare model where that trade goes wrong, the exact solve is the
-/// fallback).
+/// place instead of re-lowering the model every solve. Perturbed solves
+/// that break down numerically are retried exactly (see
+/// `retry_exact_on_failure`).
 pub fn solve_std(
     std: &StdForm,
     opts: &SimplexOptions,
     hint: Option<&BasisStatuses>,
 ) -> Result<Solution, LpError> {
-    match solve_std_once(std, opts, hint, None) {
-        Err(LpError::NumericalFailure(_)) if opts.perturb > 0.0 || opts.degen_expand > 0 => {
-            let mut exact = opts.clone();
-            exact.perturb = 0.0;
-            exact.degen_expand = 0;
-            solve_std_once(std, &exact, hint, None)
-        }
+    retry_exact_on_failure(opts, |o| solve_std_once(std, o, hint, None))
+}
+
+/// Runs `solve(opts)`; when the perturbation option is active and that
+/// solve breaks down numerically, runs `solve` once more with
+/// perturbation disabled. The expansion trades a little conditioning
+/// for fewer degenerate pivots; on the rare model where that trade goes
+/// wrong, the exact solve is the fallback.
+fn retry_exact_on_failure(
+    opts: &SimplexOptions,
+    mut solve: impl FnMut(&SimplexOptions) -> Result<Solution, LpError>,
+) -> Result<Solution, LpError> {
+    match solve(opts) {
+        Err(LpError::NumericalFailure(_)) if opts.perturb > 0.0 => solve(&SimplexOptions {
+            perturb: 0.0,
+            ..opts.clone()
+        }),
         other => other,
     }
 }
@@ -1766,34 +1664,15 @@ pub fn solve_std_hot(
     hint: Option<&BasisStatuses>,
     hot: &mut Option<HotStart>,
 ) -> Result<Solution, LpError> {
-    if let Some(h) = hot.take() {
-        match resume_hot(std, opts, h, hot) {
-            Some(Err(LpError::NumericalFailure(_)))
-                if opts.perturb > 0.0 || opts.degen_expand > 0 =>
-            {
-                // Same retry contract as `solve_std`, but from scratch:
-                // the retained state already failed, so the exact rerun
-                // goes through the fresh warm path.
-                let mut exact = opts.clone();
-                exact.perturb = 0.0;
-                exact.degen_expand = 0;
-                return solve_std_once(std, &exact, hint, Some(hot));
-            }
-            Some(done) => return done,
-            // Incompatible state: fall through to the fresh path, which
-            // re-seeds the slot.
-            None => {}
-        }
-    }
-    match solve_std_once(std, opts, hint, Some(hot)) {
-        Err(LpError::NumericalFailure(_)) if opts.perturb > 0.0 || opts.degen_expand > 0 => {
-            let mut exact = opts.clone();
-            exact.perturb = 0.0;
-            exact.degen_expand = 0;
-            solve_std_once(std, &exact, hint, Some(hot))
-        }
-        other => other,
-    }
+    // `None` on incompatible state: the fresh path runs and re-seeds the
+    // slot. A resumed solve that fails numerically is retried exactly
+    // through the fresh path too, since the retained state already
+    // failed.
+    let mut resumed = hot.take().and_then(|h| resume_hot(std, opts, h, hot));
+    retry_exact_on_failure(opts, |o| match resumed.take() {
+        Some(done) => done,
+        None => solve_std_once(std, o, hint, Some(hot)),
+    })
 }
 
 /// Attempts a dual re-solve directly from retained [`HotStart`] state.
@@ -1963,26 +1842,22 @@ fn finish_solve(
 ) -> Result<Solution, LpError> {
     // Phase 2: optimize the real objective. After the dual loop this is
     // a cleanup pass that certifies optimality — normally 0 iterations.
-    eng.expand_armed = true;
     match eng.optimize(cost2, true)? {
         PhaseEnd::Optimal => {}
         PhaseEnd::Unbounded => return Err(LpError::Unbounded),
     }
 
-    // Post-solve restoration of expanded bounds (from a construction
-    // perturbation, a mid-solve plateau expansion, or both). A solution
-    // optimal for the expanded bounds is usually feasible for the true
-    // ones once nonbasics snap back (the expansion is far below
-    // feas_tol); when it is not, the snapped basis is still
-    // dual-feasible — the costs never moved — so the dual simplex
-    // repairs it. The primal algorithm has no such repair path: surface
-    // a numerical failure and let [`solve_std`] rerun exactly, keeping
-    // `Primal` solves free of dual iterations. Should a plateau
-    // expansion fire *during* the repair itself, the residual bound
-    // violation is at most feas_tol/8 — invisible at solver tolerances.
-    if eng.expanded {
+    // Post-solve restoration of perturbed bounds. A solution optimal for
+    // the expanded bounds is usually feasible for the true ones once
+    // nonbasics snap back (the expansion is far below FEAS_TOL); when it
+    // is not, the snapped basis is still dual-feasible — the costs never
+    // moved — so the dual simplex repairs it. The primal algorithm has
+    // no such repair path: surface a numerical failure and let
+    // [`solve_std`] rerun exactly, keeping `Primal` solves free of dual
+    // iterations.
+    if eng.opts.perturb > 0.0 {
         let viol = eng.restore_perturbed_bounds();
-        if viol > eng.opts.feas_tol {
+        if viol > FEAS_TOL {
             if matches!(eng.opts.algorithm, Algorithm::Primal) {
                 return Err(LpError::NumericalFailure(
                     "perturbed optimum infeasible after bound restoration".into(),
@@ -2235,42 +2110,12 @@ mod tests {
     }
 
     #[test]
-    fn plateau_expansion_fires_and_preserves_optimum() {
+    fn stalled_lp_reaches_optimum_on_true_bounds() {
         let (m, x, _) = stalled_lp();
-        let exact = m
-            .solve_with(&SimplexOptions {
-                degen_expand: 0,
-                presolve: false,
-                ..SimplexOptions::default()
-            })
-            .unwrap();
-        let s = m
-            .solve_with(&SimplexOptions {
-                degen_expand: 1,
-                presolve: false,
-                ..SimplexOptions::default()
-            })
-            .unwrap();
+        let s = m.solve().unwrap();
         assert!(s.stats.degenerate_pivots >= 1);
-        assert_eq!(s.stats.degen_expansions, 1, "one-shot expansion fires");
         assert!((s.objective - 0.5).abs() < 1e-6, "{}", s.objective);
-        assert!((s.objective - exact.objective).abs() < 1e-6);
-        // Restoration snapped back onto the true bounds.
         assert!(s.value(x) >= -1e-9, "{}", s.value(x));
-    }
-
-    #[test]
-    fn plateau_expansion_disabled_by_zero() {
-        let (m, _, _) = stalled_lp();
-        let s = m
-            .solve_with(&SimplexOptions {
-                degen_expand: 0,
-                presolve: false,
-                ..SimplexOptions::default()
-            })
-            .unwrap();
-        assert_eq!(s.stats.degen_expansions, 0);
-        assert!((s.objective - 0.5).abs() < 1e-6, "{}", s.objective);
     }
 
     #[test]
@@ -2447,62 +2292,18 @@ mod tests {
         m
     }
 
+    /// Devex, the one pricing rule, reaches the known optimum.
     #[test]
     fn all_pricing_rules_agree() {
-        let m = classic_model();
-        for pricing in [
-            crate::pricing::Pricing::Dantzig,
-            crate::pricing::Pricing::Devex,
-            crate::pricing::Pricing::PartialDevex { candidates: 0 },
-            crate::pricing::Pricing::PartialDevex { candidates: 2 },
-        ] {
-            let opts = SimplexOptions {
-                pricing,
-                ..SimplexOptions::default()
-            };
-            let s = m
-                .solve_with(&opts)
-                .unwrap_or_else(|e| panic!("{pricing:?}: {e}"));
-            assert!(
-                (s.objective - 36.0).abs() < 1e-6,
-                "{pricing:?}: {}",
-                s.objective
-            );
-        }
+        let s = classic_model().solve().unwrap();
+        almost(s.objective, 36.0);
     }
 
+    /// Devex, the one pricing rule, reaches the known optimum of a
+    /// transport LP with equality rows.
     #[test]
     fn pricing_rules_agree_on_transport() {
-        let build = || {
-            let mut m = Model::new();
-            let x00 = m.add_nonneg("x00");
-            let x01 = m.add_nonneg("x01");
-            let x10 = m.add_nonneg("x10");
-            let x11 = m.add_nonneg("x11");
-            m.add_con(LinExpr::from(x00) + x01, Cmp::Eq, 3.0);
-            m.add_con(LinExpr::from(x10) + x11, Cmp::Eq, 4.0);
-            m.add_con(LinExpr::from(x00) + x10, Cmp::Eq, 5.0);
-            m.add_con(LinExpr::from(x01) + x11, Cmp::Eq, 2.0);
-            m.set_objective(
-                LinExpr::term(x00, 1.0)
-                    + LinExpr::term(x01, 4.0)
-                    + LinExpr::term(x10, 2.0)
-                    + LinExpr::term(x11, 1.0),
-                Sense::Minimize,
-            );
-            m
-        };
-        for pricing in [
-            crate::pricing::Pricing::Dantzig,
-            crate::pricing::Pricing::PartialDevex { candidates: 2 },
-        ] {
-            let opts = SimplexOptions {
-                pricing,
-                ..SimplexOptions::default()
-            };
-            let s = build().solve_with(&opts).unwrap();
-            almost(s.objective, 9.0);
-        }
+        almost(transport_model().solve().unwrap().objective, 9.0);
     }
 
     #[test]
@@ -2516,9 +2317,11 @@ mod tests {
     }
 
     #[test]
-    fn partial_pricing_makes_fewer_full_passes() {
-        // A larger LP where the candidate list actually amortizes: many
-        // parallel capacitated variables sharing one coupling row.
+    fn devex_reaches_optimum_of_coupled_boxes() {
+        // Many capacitated variables sharing one coupling row: the
+        // optimum fills the highest-weight columns to 0.9 each until the
+        // row's 36 units run out (8·0.9 at 1.6, 1.5, 1.4; 9·0.9 at 1.3;
+        // the last 6.3 units at 1.2).
         let mut m = Model::new();
         let n = 60;
         let mut total = LinExpr::default();
@@ -2531,26 +2334,7 @@ mod tests {
         }
         m.add_con(total, Cmp::Le, n as f64 * 0.6);
         m.set_objective(obj, Sense::Maximize);
-
-        let full = m
-            .solve_with(&SimplexOptions {
-                pricing: crate::pricing::Pricing::Devex,
-                ..SimplexOptions::default()
-            })
-            .unwrap();
-        let partial = m
-            .solve_with(&SimplexOptions {
-                pricing: crate::pricing::Pricing::PartialDevex { candidates: 8 },
-                ..SimplexOptions::default()
-            })
-            .unwrap();
-        almost(full.objective, partial.objective);
-        assert!(
-            partial.stats.full_pricing_passes < full.stats.full_pricing_passes,
-            "partial {} vs full {}",
-            partial.stats.full_pricing_passes,
-            full.stats.full_pricing_passes
-        );
+        almost(m.solve().unwrap().objective, 50.49);
     }
 
     #[test]
@@ -2662,8 +2446,14 @@ mod tests {
 
     #[test]
     fn transport_like_equalities() {
-        // Balanced transportation problem, 2 sources x 2 sinks.
-        // supply [3, 4], demand [5, 2]; costs [[1, 4], [2, 1]].
+        let s = transport_model().solve().unwrap();
+        // Optimal: x00=3, x10=2, x11=2 -> 3 + 4 + 2 = 9.
+        almost(s.objective, 9.0);
+    }
+
+    /// Balanced transportation problem, 2 sources x 2 sinks.
+    /// supply [3, 4], demand [5, 2]; costs [[1, 4], [2, 1]].
+    fn transport_model() -> Model {
         let mut m = Model::new();
         let x00 = m.add_nonneg("x00");
         let x01 = m.add_nonneg("x01");
@@ -2680,9 +2470,7 @@ mod tests {
                 + LinExpr::term(x11, 1.0),
             Sense::Minimize,
         );
-        let s = m.solve().unwrap();
-        // Optimal: x00=3, x10=2, x11=2 -> 3 + 4 + 2 = 9.
-        almost(s.objective, 9.0);
+        m
     }
 
     /// A model that needs several iterations (used by the limit tests).
@@ -2709,8 +2497,7 @@ mod tests {
             ..SimplexOptions::default()
         };
         match m.solve_with(&opts) {
-            Err(LpError::LimitExceeded { limit, stats }) => {
-                assert_eq!(limit, crate::LimitKind::Iterations);
+            Err(LpError::LimitExceeded { stats }) => {
                 assert!(stats.iterations() >= 1, "partial counters: {stats:?}");
             }
             other => panic!("expected LimitExceeded, got {other:?}"),
@@ -2749,14 +2536,38 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_budget_allows_normal_solves() {
-        // A generous wall-clock budget must not perturb results.
-        let m = multi_iteration_model();
-        let opts = SimplexOptions {
-            max_millis: 60_000,
+    fn perturbed_numerical_failure_is_retried_exactly_once() {
+        let solved = classic_model().solve().unwrap();
+        let failure = || LpError::NumericalFailure("test".into());
+        let perturbed = SimplexOptions {
+            perturb: 1e-9,
+            max_iters: 7,
             ..SimplexOptions::default()
         };
-        let s = m.solve_with(&opts).unwrap();
-        almost(s.objective, 36.0);
+        let mut seen = Vec::new();
+        let got = retry_exact_on_failure(&perturbed, |o| {
+            seen.push((o.perturb, o.max_iters));
+            if o.perturb > 0.0 {
+                Err(failure())
+            } else {
+                Ok(solved.clone())
+            }
+        });
+        almost(got.unwrap().objective, 36.0);
+        assert_eq!(seen, [(1e-9, 7), (0.0, 7)]);
+
+        // Exact solves and other errors are returned as they are.
+        let mut calls = 0;
+        let got = retry_exact_on_failure(&SimplexOptions::default(), |_| {
+            calls += 1;
+            Err(failure())
+        });
+        assert_eq!(got.unwrap_err(), failure());
+        let got = retry_exact_on_failure(&perturbed, |_| {
+            calls += 1;
+            Err(LpError::Infeasible)
+        });
+        assert_eq!(got.unwrap_err(), LpError::Infeasible);
+        assert_eq!(calls, 2);
     }
 }

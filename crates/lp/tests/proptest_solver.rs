@@ -3,7 +3,7 @@
 //! reported solutions must actually satisfy the constraints they claim to.
 
 use ffc_lp::dense::solve_dense;
-use ffc_lp::{Cmp, LinExpr, LpError, Model, Pricing, Sense, SimplexOptions};
+use ffc_lp::{Cmp, LinExpr, LpError, Model, Sense};
 use proptest::prelude::*;
 
 /// One constraint: sparse terms, a comparison selector, and a rhs.
@@ -102,7 +102,7 @@ proptest! {
     /// Both solvers agree on feasibility/unboundedness classification and,
     /// when optimal, on the objective value.
     #[test]
-    fn sparse_matches_dense_oracle(lp in lp_strategy(5, 6)) {
+    fn sparse_matches_dense_oracle(lp in lp_strategy(6, 8)) {
         let m = build(&lp);
         let sparse = m.solve();
         let dense = solve_dense(&m);
@@ -169,50 +169,6 @@ proptest! {
                 std::mem::discriminant(&a), std::mem::discriminant(&b)
             ),
             other => prop_assert!(false, "warm/cold disagreement: {:?}", other),
-        }
-    }
-
-    /// Every pricing rule (Dantzig, devex, partial devex) reaches the
-    /// same optimum — compared against each other and against the dense
-    /// tableau oracle — or agrees on infeasibility/unboundedness.
-    #[test]
-    fn pricing_rules_match_dantzig_and_dense(lp in lp_strategy(6, 8)) {
-        let m = build(&lp);
-        let solve = |pricing: Pricing| {
-            m.solve_with(&SimplexOptions { pricing, ..SimplexOptions::default() })
-        };
-        let dantzig = solve(Pricing::Dantzig);
-        let dense = solve_dense(&m);
-        for rule in [
-            Pricing::Devex,
-            Pricing::PartialDevex { candidates: 0 },
-            Pricing::PartialDevex { candidates: 2 },
-        ] {
-            let got = solve(rule);
-            match (&dantzig, &got) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert!(
-                        (a.objective - b.objective).abs() <= 1e-5 * (1.0 + a.objective.abs()),
-                        "{rule:?} found {} but Dantzig found {}",
-                        b.objective,
-                        a.objective
-                    );
-                    if let Ok(d) = &dense {
-                        prop_assert!(
-                            (d.objective - b.objective).abs()
-                                <= 1e-5 * (1.0 + d.objective.abs()),
-                            "{rule:?} found {} but dense oracle found {}",
-                            b.objective,
-                            d.objective
-                        );
-                    }
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    std::mem::discriminant(a), std::mem::discriminant(b),
-                    "{:?} classified differently than Dantzig", rule
-                ),
-                other => prop_assert!(false, "{rule:?} disagreement: {other:?}"),
-            }
         }
     }
 
